@@ -2,9 +2,11 @@ GO ?= go
 
 .PHONY: check lint race chaos bench-smoke bench-sched bench-trace bench-comm bench-comm-gate bench-policy bench-elastic bench-supervise
 
-## check: the tier-1 gate — vet, then the project linter, then build and
-## the full test suite.
+## check: the tier-1 gate — formatting, vet, then the project linter, then
+## build and the full test suite.
 check:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/hiper-lint -audit ./...
 	$(GO) build ./...

@@ -1,7 +1,7 @@
 // AsyncSHMEM: the paper's novel shmem_async_when API. Where OpenSHMEM's
 // wait APIs block a thread until a remote put changes local memory, HiPER
-// predicates a TASK on the condition and offloads the polling to the
-// runtime:
+// predicates a TASK on the condition and hands the waiting to the
+// runtime (the put's delivery releases the task; nothing polls):
 //
 //	shmem_async_when(mem_addr, wait_for_val, [=] { body; });
 //

@@ -19,8 +19,8 @@ type Promise struct {
 	err  error // non-nil iff settled by PutErr (a failed future)
 
 	// waiters registered before satisfaction.
-	taskWaiters []*Task               // eligible once their dep counters drain
-	chanWaiters []chan struct{}       // parked goroutines / substituted workers
+	taskWaiters []*Task                  // eligible once their dep counters drain
+	chanWaiters []chan struct{}          // parked goroutines / substituted workers
 	callbacks   []func(v any, err error) // module-internal completion hooks
 	fut         Future
 }

@@ -119,16 +119,23 @@ func TestTraceFanoutWake(t *testing.T) {
 		}
 	}()
 	var ran atomic.Int64
-	for round := 0; round < 10; round++ {
-		time.Sleep(200 * time.Microsecond) // let the pool park
+	burst := func() {
 		r.Launch(func(c *Ctx) {
 			c.ForasyncSync(Range{Lo: 0, Hi: r.NumWorkers() * 8, Grain: 1},
 				func(*Ctx, int) { ran.Add(1) })
 		})
 	}
+	for round := 0; round < 10; round++ {
+		time.Sleep(200 * time.Microsecond) // let the pool park
+		burst()
+	}
 	close(stop)
 	wg.Wait()
-	if want := int64(10 * r.NumWorkers() * 8); ran.Load() != want {
+	// A dump pauses recording, so a pool that parked during the last
+	// concurrent dump left no park event — and would stay parked. Wake it
+	// once more now that nothing pauses the tracer.
+	burst()
+	if want := int64(11 * r.NumWorkers() * 8); ran.Load() != want {
 		t.Fatalf("ran %d fanout tasks, want %d", ran.Load(), want)
 	}
 	// Quiescent traced window: with the injection and dump goroutines gone

@@ -9,65 +9,39 @@
 // The module also adds the paper's novel API, AsyncWhen (shmem_async_when):
 // where the specification's wait APIs block a thread until a remote put
 // changes local memory, AsyncWhen predicates a task's execution on the
-// condition instead, offloading the polling to the HiPER runtime — the
-// exact mechanism the paper's Graph500 implementation uses to eliminate
-// application-level polling loops.
+// condition instead — the exact mechanism the paper's Graph500
+// implementation uses to eliminate application-level polling loops. The
+// condition is a watcher on the symmetric array: the delivery of the put
+// that makes it true releases the task, so nothing polls.
 package hipershmem
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/shmem"
-	"repro/internal/spin"
 	"repro/internal/stats"
 )
 
 // ModuleName is the name this module registers under.
 const ModuleName = "shmem"
 
-// Options tunes module behaviour.
-type Options struct {
-	// PollInterval bounds CPU burned on empty AsyncWhen polling rounds.
-	// Default 20µs.
-	PollInterval time.Duration
-}
+// Options tunes module behaviour. It has no fields: it remains so that
+// New keeps its signature for existing callers.
+type Options struct{}
 
 // Module is the AsyncSHMEM module bound to one PE.
 type Module struct {
-	pe   *shmem.PE
-	opts Options
+	pe *shmem.PE
 
 	rt  *core.Runtime
 	nic *platform.Place
-
-	mu           sync.Mutex
-	conds        []*whenCond
-	pollerActive bool
-}
-
-// whenCond is one registered AsyncWhen condition.
-type whenCond struct {
-	arr  *shmem.Int64Array
-	off  int
-	cmp  shmem.Cmp
-	val  int64
-	prom *core.Promise
 }
 
 // New creates the module for one PE.
-func New(pe *shmem.PE, opts *Options) *Module {
-	m := &Module{pe: pe}
-	if opts != nil {
-		m.opts = *opts
-	}
-	if m.opts.PollInterval <= 0 {
-		m.opts.PollInterval = 20 * time.Microsecond
-	}
-	return m
+func New(pe *shmem.PE, _ *Options) *Module {
+	return &Module{pe: pe}
 }
 
 // Name implements modules.Module.
@@ -214,9 +188,9 @@ func (m *Module) Quiet(c *core.Ctx) {
 }
 
 // BarrierAll is shmem_barrier_all: the calling task is descheduled until
-// every PE arrives. Arrival is asynchronous so the barrier never stalls
-// the worker servicing this PE's AsyncWhen poller — other PEs' arrivals
-// may depend on conditions our poller must fire.
+// every PE arrives. Arrival is asynchronous so the barrier never stalls a
+// worker — other PEs' arrivals may depend on AsyncWhen handlers this
+// PE's workers must run.
 func (m *Module) BarrierAll(c *core.Ctx) {
 	defer stats.Track(ModuleName, "shmem_barrier_all")()
 	c.Wait(m.BarrierAllFuture(c))
@@ -248,65 +222,20 @@ func (m *Module) WaitUntil(c *core.Ctx, a *shmem.Int64Array, off int, cmp shmem.
 
 // AsyncWhen is the paper's shmem_async_when: it makes body's execution
 // predicated on the calling PE's local element at off satisfying cmp
-// against val (typically made true by a remote put). The polling is
-// offloaded to the HiPER runtime's poller task.
+// against val (typically made true by a remote put); the delivery of
+// that put makes body eligible.
 func (m *Module) AsyncWhen(c *core.Ctx, a *shmem.Int64Array, off int, cmp shmem.Cmp, val int64, body func(*core.Ctx)) {
 	defer stats.Track(ModuleName, "shmem_async_when")()
 	f := m.WhenFuture(c, a, off, cmp, val)
 	c.AsyncAwait(body, f)
 }
 
-// WhenFuture returns a future satisfied when the calling PE's local
-// element at off satisfies cmp against val.
+// WhenFuture returns a future satisfied — with the element's value — when
+// the calling PE's local element at off satisfies cmp against val. The
+// update that makes the condition true satisfies the future from the
+// transport's delivery path.
 func (m *Module) WhenFuture(c *core.Ctx, a *shmem.Int64Array, off int, cmp shmem.Cmp, val int64) *core.Future {
 	prom := core.NewPromise(m.rt)
-	// Fast path: already satisfied.
-	if cmp.Eval(a.Peek(m.pe.Rank(), off), val) {
-		prom.Put(a.Peek(m.pe.Rank(), off))
-		return prom.Future()
-	}
-	m.mu.Lock()
-	m.conds = append(m.conds, &whenCond{arr: a, off: off, cmp: cmp, val: val, prom: prom})
-	spawn := !m.pollerActive
-	if spawn {
-		m.pollerActive = true
-	}
-	m.mu.Unlock()
-	if spawn {
-		c.AsyncDetachedAt(m.nic, m.poll)
-	}
+	a.When(m.pe.Rank(), off, cmp, val, func(cur int64) { prom.Put(cur) })
 	return prom.Future()
-}
-
-// poll tests registered conditions, satisfies those that hold, and yields
-// while any remain.
-func (m *Module) poll(c *core.Ctx) {
-	me := m.pe.Rank()
-	m.mu.Lock()
-	var still []*whenCond
-	var fired []*whenCond
-	for _, wc := range m.conds {
-		cur := wc.arr.Peek(me, wc.off)
-		if wc.cmp.Eval(cur, wc.val) {
-			fired = append(fired, wc)
-		} else {
-			still = append(still, wc)
-		}
-	}
-	m.conds = still
-	remaining := len(still)
-	if remaining == 0 {
-		m.pollerActive = false
-	}
-	m.mu.Unlock()
-
-	for _, wc := range fired {
-		c.Put(wc.prom, wc.arr.Peek(me, wc.off))
-	}
-	if remaining > 0 {
-		if len(fired) == 0 {
-			spin.Sleep(m.opts.PollInterval) //hiperlint:ignore raw-delay-outside-fabric poller back-off pacing, not a modelled transfer
-		}
-		c.Yield(m.poll)
-	}
 }

@@ -224,7 +224,10 @@ func TestWaitUntilDeschedulesNotBlocks(t *testing.T) {
 	rt.Shutdown()
 }
 
-func TestManyWhenConditionsOnePoller(t *testing.T) {
+// TestManyWhenConditionsOneWatchList arms many conditions on one PE's
+// watch list at once; each future is satisfied by the delivery of its own
+// remote put, with the value that satisfied it.
+func TestManyWhenConditionsOneWatchList(t *testing.T) {
 	const conds = 32
 	job(t, 2, 2, simnet.CostModel{Alpha: time.Millisecond}, func(c *core.Ctx, m *Module, w *shmem.World) {
 		arrOnce.Do(func() { sharedArr = w.AllocInt64(conds) })
@@ -236,6 +239,9 @@ func TestManyWhenConditionsOnePoller(t *testing.T) {
 			}
 			c.Wait(core.WhenAll(c.Runtime(), futs...))
 			for i := 0; i < conds; i++ {
+				if got := c.Get(futs[i]); got != int64(i+1) {
+					t.Errorf("cond %d satisfied with %v, want %d", i, got, i+1)
+				}
 				if sharedArr.Peek(1, i) != int64(i+1) {
 					t.Errorf("cond %d fired early", i)
 				}

@@ -166,6 +166,26 @@ func (m *Module) RPutAwait(c *core.Ctx, a *upcxx.SharedArray, dst, off int, vals
 	return out.Future()
 }
 
+// RPutSignal is RPut with a signal: on arrival the one transfer writes
+// vals into dst's block of a at off and then stores sigVal into dst's
+// element sigOff of sig, which satisfies the SignalFuture dst holds on
+// that word. Completion is the target's; the initiator gets no future
+// (vals is captured before the call returns).
+func (m *Module) RPutSignal(c *core.Ctx, a *upcxx.SharedArray, dst, off int, vals []float64, sig *upcxx.SharedArray, sigOff int, sigVal float64) {
+	defer stats.Track(ModuleName, "rput_signal")()
+	m.rank.RPutSignal(a, dst, off, vals, sig, sigOff, sigVal)
+}
+
+// SignalFuture returns a future satisfied when this rank's element i of
+// sig reaches want. The delivery of the RPutSignal (or RPut) that raises
+// the word satisfies it directly — no poller looks for it — so a task
+// that Waits on it is suspended until the data is there.
+func (m *Module) SignalFuture(sig *upcxx.SharedArray, i int, want float64) *core.Future {
+	prom := core.NewPromise(m.rt)
+	sig.WhenAtLeast(m.rank.ID(), i, want, func() { prom.Put(nil) })
+	return prom.Future()
+}
+
 // RGet asynchronously reads n elements from src's block at off; the future
 // is satisfied with the []float64 payload.
 func (m *Module) RGet(c *core.Ctx, a *upcxx.SharedArray, src, off, n int) *core.Future {

@@ -155,3 +155,39 @@ func TestManyRPCsBothDirections(t *testing.T) {
 		t.Fatalf("rpcs executed = %d, want 12", count.Load())
 	}
 }
+
+// TestRPutSignalHaloProtocol runs HPGMG's exchange shape between two
+// single-worker ranks: each round a rank RPutSignals a plane with the
+// round's sequence number at its peer and Waits on the SignalFuture for
+// the peer's. The wait is satisfied by the delivery — there is one worker
+// and no poller — and when it returns the plane must be in place (read
+// through Local with no lock, so -race checks the ordering too).
+func TestRPutSignalHaloProtocol(t *testing.T) {
+	const rounds, width = 300, 64
+	var planes, sigs *upcxx.SharedArray
+	var once sync.Once
+	job(t, 2, 1, simnet.CostModel{Alpha: 20 * time.Microsecond}, func(c *core.Ctx, m *Module, w *upcxx.World) {
+		once.Do(func() {
+			planes = w.AllocShared(2 * width) // two parities
+			sigs = w.AllocShared(2)
+		})
+		m.Barrier(c)
+		me, peer := m.ID(), 1-m.ID()
+		vals := make([]float64, width)
+		for k := 0; k < rounds; k++ {
+			par := k % 2
+			for i := range vals {
+				vals[i] = float64(1000*k + me)
+			}
+			m.RPutSignal(c, planes, peer, par*width, vals, sigs, par, float64(k+1))
+			c.Wait(m.SignalFuture(sigs, par, float64(k+1)))
+			for i, v := range planes.Local(me)[par*width : (par+1)*width] {
+				if v != float64(1000*k+peer) {
+					t.Errorf("rank %d round %d: plane[%d] = %v when the signal future was satisfied", me, k, i, v)
+					return
+				}
+			}
+		}
+		m.Barrier(c)
+	})
+}

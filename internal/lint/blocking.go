@@ -12,9 +12,10 @@ import (
 // contract is that pluggable work suspends rather than blocks: a task
 // that parks its goroutine in the Go scheduler takes a HiPER worker
 // thread with it, stalling every place on that worker's pop path. The
-// suspending equivalents (Ctx.Wait/Get on futures, AsyncAwait
-// predication, Ctx.HelpUntil for external conditions, finish scopes
-// instead of WaitGroups) keep the worker servicing its places.
+// suspending equivalents (Ctx.Wait/Get on futures — including the
+// signal and when-futures the one-sided modules satisfy on delivery —
+// AsyncAwait predication, finish scopes instead of WaitGroups) keep the
+// worker servicing its places.
 //
 // Flagged inside a task body:
 //   - time.Sleep
@@ -173,7 +174,7 @@ func (c *BlockingInTask) checkTaskBody(p *Package, r *Reporter, lit *ast.FuncLit
 			return true
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				r.Reportf(n.Pos(), "raw channel receive blocks the worker thread inside a task; suspend with Ctx.Wait/Get on a future or poll with Ctx.HelpUntil")
+				r.Reportf(n.Pos(), "raw channel receive blocks the worker thread inside a task; have the producer satisfy a promise and suspend with Ctx.Wait/Get on its future")
 			}
 			return true
 		}
@@ -202,7 +203,7 @@ func (c *BlockingInTask) checkTransitive(p *Package, r *Reporter, call *ast.Call
 			continue
 		}
 		e := sum.Blocks[0]
-		r.Reportf(call.Pos(), "calling %s inside a task reaches %s (via %s at %s), which blocks the worker thread; suspend with futures (Ctx.Wait/Get, AsyncAwait) or Ctx.HelpUntil instead",
+		r.Reportf(call.Pos(), "calling %s inside a task reaches %s (via %s at %s), which blocks the worker thread; suspend on a future instead (Ctx.Wait/Get, AsyncAwait)",
 			callee.Name, e.What, chainOrSelf(callee, e), r.Position(e.Pos))
 		return // one witness per call site is enough
 	}
@@ -256,7 +257,7 @@ func (c *BlockingInTask) checkCall(p *Package, r *Reporter, call *ast.CallExpr) 
 	switch sel.Sel.Name {
 	case "Sleep":
 		if isPkgIdent(p, sel.X, "time") {
-			r.Reportf(call.Pos(), "time.Sleep inside a task blocks the worker thread; suspend with Ctx.HelpUntil (it keeps servicing places) or restructure with AsyncAwait")
+			r.Reportf(call.Pos(), "time.Sleep inside a task blocks the worker thread; wait for the event itself — Ctx.Wait on a future its producer satisfies, or AsyncAwait predication")
 		}
 	case "Wait":
 		if isNamedType(p, sel.X, "sync", "WaitGroup") {

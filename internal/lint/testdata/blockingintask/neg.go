@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-func good(c *Ctx, ch chan int, mu *sync.Mutex) {
+func good(c *Ctx, ch chan int, mu *sync.Mutex, f any) {
 	c.Async(func(c *Ctx) {
-		c.HelpUntil(func() bool { return true })
+		c.Wait(f) // suspends the task, not the worker
 		go func() {
 			time.Sleep(time.Millisecond) // own goroutine: may block
 			ch <- 1

@@ -17,8 +17,8 @@ func (c *Ctx) Async(fn func(*Ctx)) {}
 // Finish mirrors core.Ctx.Finish.
 func (c *Ctx) Finish(fn func(*Ctx)) {}
 
-// HelpUntil mirrors core.Ctx.HelpUntil.
-func (c *Ctx) HelpUntil(pred func() bool) {}
+// Wait mirrors core.Ctx.Wait; any stands in for *core.Future.
+func (c *Ctx) Wait(f any) {}
 
 var globalMu sync.Mutex
 

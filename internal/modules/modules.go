@@ -43,7 +43,8 @@ type Module interface {
 	Finalize()
 }
 
-// registry tracks which modules are installed on which runtime.
+// registry tracks which modules are installed on which runtime. A
+// runtime's entry lives until its Shutdown.
 var registry sync.Map // *core.Runtime -> *runtimeModules
 
 type runtimeModules struct {
@@ -56,7 +57,13 @@ type runtimeModules struct {
 // modules with the same name on one runtime is an error, as is installing
 // the same name twice.
 func Install(rt *core.Runtime, m Module) error {
-	v, _ := registry.LoadOrStore(rt, &runtimeModules{byName: make(map[string]Module)})
+	v, loaded := registry.LoadOrStore(rt, &runtimeModules{byName: make(map[string]Module)})
+	if !loaded {
+		// Registered before any module's Finalize, so (LIFO) it runs after
+		// all of them: the entry — and everything the modules reference —
+		// stops being reachable once the runtime has shut down.
+		rt.RegisterFinalizer(func() { registry.Delete(rt) })
+	}
 	rms := v.(*runtimeModules)
 	rms.mu.Lock()
 	if _, dup := rms.byName[m.Name()]; dup {

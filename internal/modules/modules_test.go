@@ -135,3 +135,47 @@ type orderModule struct {
 func (m *orderModule) Name() string             { return m.name }
 func (m *orderModule) Init(*core.Runtime) error { return nil }
 func (m *orderModule) Finalize()                { *m.order = append(*m.order, m.name) }
+
+// registrySize counts the runtimes the registry still holds.
+func registrySize() int {
+	n := 0
+	registry.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// lookupModule records, from inside Finalize, whether the registry still
+// knows it: the runtime's entry must outlive every module's Finalize.
+type lookupModule struct {
+	rt             *core.Runtime
+	seenInFinalize bool
+}
+
+func (m *lookupModule) Name() string                { return "lookup" }
+func (m *lookupModule) Init(rt *core.Runtime) error { m.rt = rt; return nil }
+func (m *lookupModule) Finalize()                   { m.seenInFinalize = Installed(m.rt, "lookup") == m }
+
+// TestRegistryDropsRuntimeAtShutdown: the registry must not keep a
+// runtime — and everything its modules reference — alive after Shutdown.
+func TestRegistryDropsRuntimeAtShutdown(t *testing.T) {
+	before := registrySize()
+	for i := 0; i < 100; i++ {
+		rt := newRT()
+		first := &lookupModule{}
+		MustInstall(rt, first)
+		MustInstall(rt, &fakeModule{name: "second"})
+		if got := Names(rt); len(got) != 2 {
+			t.Fatalf("cycle %d: Names = %v before shutdown", i, got)
+		}
+		rt.Launch(func(c *core.Ctx) {})
+		rt.Shutdown()
+		if !first.seenInFinalize {
+			t.Fatalf("cycle %d: registry entry dropped before the modules' Finalize ran", i)
+		}
+		if Installed(rt, "lookup") != nil || Installed(rt, "second") != nil || Names(rt) != nil {
+			t.Fatalf("cycle %d: registry still answers for a shut-down runtime: %v", i, Names(rt))
+		}
+	}
+	if got := registrySize(); got != before {
+		t.Fatalf("registry holds %d runtimes after 100 install→shutdown cycles, %d before", got, before)
+	}
+}

@@ -42,11 +42,7 @@ func (p *PE) Broadcast(dst, src *Int64Array, nelems, root int) {
 	}
 	p.w.coll.Bcast(p.rank, buf, root)
 	if p.rank != root {
-		me := p.rank
-		dst.mus[me].Lock()
-		decodeInt64s(dst.data[me][:nelems], buf)
-		dst.cond[me].Broadcast()
-		dst.mus[me].Unlock()
+		dst.update(p.rank, func(loc []int64) { decodeInt64s(loc[:nelems], buf) })
 	}
 	p.w.coll.Barrier()
 }
@@ -62,12 +58,11 @@ func (p *PE) FCollect(dst, src *Int64Array, nelems int) {
 	encodeInt64s(contrib, src.data[me][:nelems])
 	src.mus[me].Unlock()
 	chunks := p.w.coll.Allgather(me, contrib)
-	dst.mus[me].Lock()
-	for r, chunk := range chunks {
-		decodeInt64s(dst.data[me][r*nelems:(r+1)*nelems], chunk)
-	}
-	dst.cond[me].Broadcast()
-	dst.mus[me].Unlock()
+	dst.update(me, func(loc []int64) {
+		for r, chunk := range chunks {
+			decodeInt64s(loc[r*nelems:(r+1)*nelems], chunk)
+		}
+	})
 	p.w.coll.Barrier()
 }
 
@@ -123,10 +118,7 @@ func (p *PE) ToAll(dst, src *Int64Array, nelems int, kind ReduceKind) {
 	src.mus[me].Unlock()
 	recv := make([]byte, 8*nelems)
 	p.w.coll.Allreduce(me, recv, contrib, kind.byteOp())
-	dst.mus[me].Lock()
-	decodeInt64s(dst.data[me][:nelems], recv)
-	dst.cond[me].Broadcast()
-	dst.mus[me].Unlock()
+	dst.update(me, func(loc []int64) { decodeInt64s(loc[:nelems], recv) })
 	p.w.coll.Barrier()
 }
 

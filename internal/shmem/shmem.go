@@ -15,6 +15,11 @@
 // until all of the calling PE's outstanding puts are remotely visible,
 // BarrierAll implies Quiet, and WaitUntil blocks until a local symmetric
 // location satisfies a comparison — typically made true by a remote put.
+// From OpenSHMEM 1.5 the package takes put-with-signal (PutSignal): one
+// transfer that writes a payload and then a signal word at the target.
+// Waiting is event-driven: each Int64Array keeps a per-PE watch list that
+// every update checks, so the delivery that makes a condition true is
+// what releases WaitUntil and the module's shmem_async_when.
 //
 // Every remote access is issued as a one-sided transfer on the World's
 // transport, so a SHMEM world built with NewWorldOver on a shared fabric
@@ -67,8 +72,8 @@ type World struct {
 	// slots is the preallocation width for per-PE structures: the
 	// transport's capacity (elastic fabrics keep spare endpoints), not
 	// its current size. Symmetric arrays allocate one instance per slot
-	// so live resize never reallocates — appending would invalidate the
-	// sync.Cond pointers into the mutex array.
+	// so live resize never reallocates — appending would move the mutex
+	// arrays the byte and float arrays' sync.Cond pointers refer to.
 	slots int
 	tr    fabric.Transport
 	coll  *fabric.Coll
@@ -169,7 +174,7 @@ func (p *PE) BarrierAll() {
 // BarrierAllAsync arrives at the barrier once this PE's outstanding
 // one-sided updates complete, and invokes onDone when all PEs have
 // arrived. It never blocks the caller — the AsyncSHMEM module uses it so
-// a barrier never stalls the worker that services its condition poller.
+// a barrier never stalls a worker its AsyncWhen handlers may need.
 func (p *PE) BarrierAllAsync(onDone func()) {
 	//hiperlint:ignore goroutine-leak arrival goroutine exits once this PE's pending puts drain; joining it would reintroduce the blocking barrier this API exists to avoid
 	go func() {
@@ -185,7 +190,19 @@ type Int64Array struct {
 	w    *World
 	data [][]int64
 	mus  []sync.Mutex
-	cond []*sync.Cond
+	// watch[r] holds the conditions armed on PE r's instance (guarded by
+	// mus[r]). Every update checks it while it still holds the lock, so
+	// waiting is event-driven: the delivery that makes a condition true
+	// is what releases its waiter.
+	watch [][]watcher
+}
+
+// watcher is one armed, one-shot condition on an element.
+type watcher struct {
+	off  int
+	cmp  Cmp
+	val  int64
+	fire func(cur int64)
 }
 
 // AllocInt64 allocates a symmetric int64 array of length n per PE
@@ -196,12 +213,60 @@ func (w *World) AllocInt64(n int) *Int64Array {
 	a := &Int64Array{w: w}
 	a.data = make([][]int64, w.slots)
 	a.mus = make([]sync.Mutex, w.slots)
-	a.cond = make([]*sync.Cond, w.slots)
+	a.watch = make([][]watcher, w.slots)
 	for r := 0; r < w.slots; r++ {
 		a.data[r] = make([]int64, n)
-		a.cond[r] = sync.NewCond(&a.mus[r])
 	}
 	return a
+}
+
+// update applies write to PE rank's instance and then fires the watchers
+// the new contents satisfy. The check runs under the same lock as the
+// write, so a watcher can neither miss the update that satisfies it nor
+// fire twice; the fire callbacks run after the lock is released, on the
+// caller's goroutine (the transport's delivery goroutine for a remote
+// update).
+func (a *Int64Array) update(rank int, write func(loc []int64)) {
+	a.mus[rank].Lock()
+	write(a.data[rank])
+	if len(a.watch[rank]) == 0 {
+		a.mus[rank].Unlock()
+		return
+	}
+	var fired []watcher
+	keep := a.watch[rank][:0]
+	for _, wt := range a.watch[rank] {
+		if cur := a.data[rank][wt.off]; wt.cmp.Eval(cur, wt.val) {
+			wt.val = cur // the callback receives the value that satisfied it
+			fired = append(fired, wt)
+		} else {
+			keep = append(keep, wt)
+		}
+	}
+	clear(a.watch[rank][len(keep):]) // drop the fired callbacks' captures
+	a.watch[rank] = keep
+	a.mus[rank].Unlock()
+	for _, wt := range fired {
+		wt.fire(wt.val)
+	}
+}
+
+// When arms a one-shot watcher on PE rank's element at off: fire runs
+// exactly once, with the element's value, as soon as that value satisfies
+// cmp against val — at once on the caller's goroutine if it already
+// does, otherwise on the goroutine delivering the update that makes it
+// so. fire must not block. When is not a SHMEM API; it is what WaitUntil
+// and the HiPER module's shmem_async_when are built on.
+func (a *Int64Array) When(rank, off int, cmp Cmp, val int64, fire func(cur int64)) {
+	a.mus[rank].Lock()
+	cur := a.data[rank][off]
+	if !cmp.Eval(cur, val) {
+		a.watch[rank] = append(a.watch[rank], watcher{off: off, cmp: cmp, val: val, fire: fire})
+		a.mus[rank].Unlock()
+		return
+	}
+	a.mus[rank].Unlock()
+	fire(cur)
 }
 
 // Len returns the per-PE length.
@@ -219,20 +284,46 @@ func (p *PE) Put(a *Int64Array, dst, off int, vals []int64) {
 	cp := make([]int64, len(vals))
 	copy(cp, vals)
 	p.put(dst, 8*len(cp), func() {
-		a.mus[dst].Lock()
-		copy(a.data[dst][off:], cp)
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) { copy(loc[off:], cp) })
+	})
+}
+
+// SignalOp selects how PutSignal updates the signal word
+// (SHMEM_SIGNAL_SET / SHMEM_SIGNAL_ADD).
+type SignalOp int
+
+// Signal operators.
+const (
+	SignalSet SignalOp = iota
+	SignalAdd
+)
+
+// PutSignal copies vals into dst's instance of a at offset off and then
+// updates dst's element sigOff of sig with sigVal (OpenSHMEM 1.5
+// shmem_put_signal). It is ONE transfer whose arrival writes the payload
+// before the signal word, so a PE that observes the signal — through
+// WaitUntil, Test or a watcher — sees the payload, with no fence and no
+// second message. Successive PutSignals toward one PE are seen in issue
+// order on transports that deliver each pair FIFO (Sim, Reliable).
+func (p *PE) PutSignal(a *Int64Array, dst, off int, vals []int64, sig *Int64Array, sigOff int, sigVal int64, op SignalOp) {
+	cp := make([]int64, len(vals))
+	copy(cp, vals)
+	p.put(dst, 8*len(cp)+8, func() {
+		a.update(dst, func(loc []int64) { copy(loc[off:], cp) })
+		sig.update(dst, func(loc []int64) {
+			if op == SignalAdd {
+				loc[sigOff] += sigVal
+			} else {
+				loc[sigOff] = sigVal
+			}
+		})
 	})
 }
 
 // PutValue is Put of a single element (shmem_int64_p).
 func (p *PE) PutValue(a *Int64Array, dst, off int, val int64) {
 	p.put(dst, 8, func() {
-		a.mus[dst].Lock()
-		a.data[dst][off] = val
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) { loc[off] = val })
 	})
 }
 
@@ -260,8 +351,8 @@ func (p *PE) GetValue(a *Int64Array, src, off int) int64 {
 }
 
 // Peek reads a single element with no modelled delay. It is not a SHMEM
-// API; the HiPER module's poller uses it to test AsyncWhen conditions
-// cheaply (local polling, as the runtime would poll its own memory).
+// API; consumers of counter-and-buffer protocols use it to read a local
+// counter under the lock its remote writers hold.
 func (a *Int64Array) Peek(rank, off int) int64 {
 	a.mus[rank].Lock()
 	v := a.data[rank][off]
@@ -274,11 +365,10 @@ func (a *Int64Array) Peek(rank, off int) int64 {
 func (p *PE) FetchAdd(a *Int64Array, dst, off int, delta int64) int64 {
 	var old int64
 	p.roundTrip(dst, 8, func() {
-		a.mus[dst].Lock()
-		old = a.data[dst][off]
-		a.data[dst][off] = old + delta
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) {
+			old = loc[off]
+			loc[off] = old + delta
+		})
 	})
 	return old
 }
@@ -287,10 +377,7 @@ func (p *PE) FetchAdd(a *Int64Array, dst, off int, delta int64) int64 {
 // returns immediately, completing asynchronously.
 func (p *PE) Add(a *Int64Array, dst, off int, delta int64) {
 	p.put(dst, 8, func() {
-		a.mus[dst].Lock()
-		a.data[dst][off] += delta
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) { loc[off] += delta })
 	})
 }
 
@@ -299,13 +386,12 @@ func (p *PE) Add(a *Int64Array, dst, off int, delta int64) {
 func (p *PE) CompareSwap(a *Int64Array, dst, off int, cond, val int64) int64 {
 	var old int64
 	p.roundTrip(dst, 8, func() {
-		a.mus[dst].Lock()
-		old = a.data[dst][off]
-		if old == cond {
-			a.data[dst][off] = val
-		}
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) {
+			old = loc[off]
+			if old == cond {
+				loc[off] = val
+			}
+		})
 	})
 	return old
 }
@@ -315,11 +401,10 @@ func (p *PE) CompareSwap(a *Int64Array, dst, off int, cond, val int64) int64 {
 func (p *PE) Swap(a *Int64Array, dst, off int, val int64) int64 {
 	var old int64
 	p.roundTrip(dst, 8, func() {
-		a.mus[dst].Lock()
-		old = a.data[dst][off]
-		a.data[dst][off] = val
-		a.cond[dst].Broadcast()
-		a.mus[dst].Unlock()
+		a.update(dst, func(loc []int64) {
+			old = loc[off]
+			loc[off] = val
+		})
 	})
 	return old
 }
@@ -328,12 +413,9 @@ func (p *PE) Swap(a *Int64Array, dst, off int, val int64) int64 {
 // cmp against val (shmem_int64_wait_until). The blocking nature of this
 // API is what motivated the paper's shmem_async_when extension.
 func (p *PE) WaitUntil(a *Int64Array, off int, cmp Cmp, val int64) {
-	me := p.rank
-	a.mus[me].Lock()
-	for !cmp.Eval(a.data[me][off], val) {
-		a.cond[me].Wait()
-	}
-	a.mus[me].Unlock()
+	done := make(chan struct{})
+	a.When(p.rank, off, cmp, val, func(int64) { close(done) })
+	<-done
 }
 
 // Test reports whether the calling PE's element at off satisfies cmp

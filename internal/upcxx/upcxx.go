@@ -6,7 +6,9 @@
 //
 // HPGMG-FV's ghost-zone exchange is the paper's consumer: boxes rput face
 // data into neighbours' shared arrays and chain dependent work on the
-// completions.
+// completions. The remote completion it needs is RPutSignal: one transfer
+// that writes the face and then a signal word whose per-rank watch list
+// releases the neighbour's wait on arrival.
 //
 // All remote operations — rput, rget, RPC control messages and their
 // acknowledgements — are one-sided transfers on the World's transport
@@ -114,6 +116,17 @@ type SharedArray struct {
 	w    *World
 	data [][]float64
 	mus  []sync.Mutex
+	// watch[r] holds the signal waits armed on rank r's block (guarded by
+	// mus[r]); every write checks it, so the delivery that raises a
+	// signal word is what releases its waiter.
+	watch [][]watcher
+}
+
+// watcher is one armed, one-shot wait for element i to reach want.
+type watcher struct {
+	i    int
+	want float64
+	fire func()
 }
 
 // AllocShared allocates a shared array of length n per rank.
@@ -121,10 +134,57 @@ func (w *World) AllocShared(n int) *SharedArray {
 	a := &SharedArray{w: w}
 	a.data = make([][]float64, w.n)
 	a.mus = make([]sync.Mutex, w.n)
+	a.watch = make([][]watcher, w.n)
 	for i := range a.data {
 		a.data[i] = make([]float64, n)
 	}
 	return a
+}
+
+// update applies write to rank r's block and then fires the watchers the
+// new contents satisfy. Check and write share one critical section, so a
+// watcher can neither miss the write that satisfies it nor fire twice;
+// the callbacks run after the lock is released, on the caller's (the
+// transport's delivery) goroutine.
+func (a *SharedArray) update(r int, write func(loc []float64)) {
+	a.mus[r].Lock()
+	write(a.data[r])
+	if len(a.watch[r]) == 0 {
+		a.mus[r].Unlock()
+		return
+	}
+	var fired []watcher
+	keep := a.watch[r][:0]
+	for _, wt := range a.watch[r] {
+		if a.data[r][wt.i] >= wt.want {
+			fired = append(fired, wt)
+		} else {
+			keep = append(keep, wt)
+		}
+	}
+	clear(a.watch[r][len(keep):]) // drop the fired callbacks' captures
+	a.watch[r] = keep
+	a.mus[r].Unlock()
+	for _, wt := range fired {
+		wt.fire()
+	}
+}
+
+// WhenAtLeast arms a one-shot watcher on rank r's element i: fire runs
+// exactly once, as soon as the element is >= want — at once on the
+// caller's goroutine if it already is, otherwise on the goroutine
+// delivering the write that makes it so. fire must not block. This is
+// the target side of RPutSignal: the wait is satisfied by the delivery,
+// not discovered by polling.
+func (a *SharedArray) WhenAtLeast(r, i int, want float64, fire func()) {
+	a.mus[r].Lock()
+	if a.data[r][i] < want {
+		a.watch[r] = append(a.watch[r], watcher{i: i, want: want, fire: fire})
+		a.mus[r].Unlock()
+		return
+	}
+	a.mus[r].Unlock()
+	fire()
 }
 
 // Len returns the per-rank length.
@@ -136,8 +196,7 @@ func (a *SharedArray) Len() int { return len(a.data[0]) }
 func (a *SharedArray) Local(r int) []float64 { return a.data[r] }
 
 // Peek reads one element of rank r's block under the write lock, with no
-// modelled delay. Counter-based synchronization protocols (sequence
-// numbers rput alongside payloads) use it for cheap local polling.
+// modelled delay.
 func (a *SharedArray) Peek(r, i int) float64 {
 	a.mus[r].Lock()
 	v := a.data[r][i]
@@ -152,12 +211,32 @@ func (a *SharedArray) Peek(r, i int) float64 {
 func (r *Rank) RPut(a *SharedArray, dst, off int, vals []float64, onRemote func()) {
 	cp := make([]float64, len(vals))
 	copy(cp, vals)
+	r.rput(dst, 8*len(cp), func() {
+		a.update(dst, func(loc []float64) { copy(loc[off:], cp) })
+	}, onRemote)
+}
+
+// RPutSignal is RPut with a signal: the same single transfer, on arrival,
+// writes vals into dst's block of a at off and then stores sigVal into
+// dst's element sigOff of sig (UPC++'s rput with remote_cx::as_rpc,
+// OpenSHMEM's put-with-signal). A rank that sees the signal word — via
+// WhenAtLeast or Peek — sees the payload, with no second, chained rput.
+// As in UPC++ when only remote completion is requested, the initiator
+// gets no completion of its own; Quiet and Barrier still cover it.
+func (r *Rank) RPutSignal(a *SharedArray, dst, off int, vals []float64, sig *SharedArray, sigOff int, sigVal float64) {
+	cp := make([]float64, len(vals))
+	copy(cp, vals)
+	r.rput(dst, 8*len(cp)+8, func() {
+		a.update(dst, func(loc []float64) { copy(loc[off:], cp) })
+		sig.update(dst, func(loc []float64) { loc[sigOff] = sigVal })
+	}, nil)
+}
+
+// rput issues one one-sided transfer toward dst; onRemote (may be nil)
+// runs after apply, and the rank's pending count covers both.
+func (r *Rank) rput(dst, bytes int, apply, onRemote func()) {
 	r.pending.Add(1)
-	r.w.tr.Put(r.id, dst, 8*len(cp), func() {
-		a.mus[dst].Lock()
-		copy(a.data[dst][off:], cp)
-		a.mus[dst].Unlock()
-	}, func() {
+	r.w.tr.Put(r.id, dst, bytes, apply, func() {
 		if onRemote != nil {
 			onRemote()
 		}

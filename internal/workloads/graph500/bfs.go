@@ -58,10 +58,10 @@ type Result struct {
 // comms is the symmetric communication state: one claim channel per
 // (src, dst) pair. A claim is a (vertex, parent, depth) triple; the
 // channel is a region of dst's symmetric buffer written only by src, with
-// a counter the receiver watches — the paper's polling target, and the
-// HiPER variant's shmem_async_when trigger. Carrying the depth in the
-// message keeps asynchronous handlers correct regardless of when they
-// drain relative to the receiver's own level progress.
+// a counter the receiver watches — the reference variant's polling
+// target, and the HiPER variant's shmem_async_when trigger. Carrying the
+// depth in the message keeps asynchronous handlers correct regardless of
+// when they drain relative to the receiver's own level progress.
 type comms struct {
 	world *shmem.World
 	ranks int
@@ -106,9 +106,13 @@ func (s *sender) claim(dst int, v, parent, depth int64) {
 	s.pending[dst] = append(s.pending[dst], v, parent, depth)
 }
 
-// flush writes queued claims and advances the channel counters. The data
-// put is fenced before the counter add so a receiver that observes the
-// counter sees the claims.
+// flush writes queued claims and advances the channel counters: one
+// put-with-signal per destination, whose arrival writes the claims and
+// then adds their count to the channel counter — so a receiver that
+// observes the counter sees the claims, with no fence and no second
+// message. A channel's batches fill consecutive regions, so this leans on
+// the transport delivering each (src, dst) pair in issue order, which Sim
+// and Reliable both guarantee.
 func (s *sender) flush() {
 	me := s.pe.Rank()
 	for dst := 0; dst < s.cs.ranks; dst++ {
@@ -121,9 +125,7 @@ func (s *sender) flush() {
 			panic(fmt.Sprintf("graph500: channel %d->%d overflow", me, dst))
 		}
 		off := me*3*s.cs.cap + int(3*s.sent[dst])
-		s.pe.Put(s.cs.data, dst, off, batch)
-		s.pe.Fence() // order data before the counter bump
-		s.pe.Add(s.cs.counters, dst, me, claims)
+		s.pe.PutSignal(s.cs.data, dst, off, batch, s.cs.counters, me, claims, shmem.SignalAdd)
 		s.sent[dst] += claims
 		s.pending[dst] = s.pending[dst][:0]
 	}
@@ -165,14 +167,6 @@ func (r *receiver) drain(handle func(v, parent, depth int64)) int {
 		}
 	}
 	return total
-}
-
-// srcSealed reports whether src's end-of-stream sentinel has been
-// consumed — src is guaranteed to send nothing further.
-func (r *receiver) srcSealed(src int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sealed[src]
 }
 
 // totalRead reports claims consumed so far across channels.

@@ -7,9 +7,10 @@
 //   - Reference: the rank's main loop must constantly poll its inbound
 //     channels for vertex-claim messages from remote processes, which adds
 //     overhead and significantly complicates the implementation.
-//   - HiPER: the polling is offloaded to the runtime with the novel
+//   - HiPER: the waiting is handed to the runtime with the novel
 //     shmem_async_when API — a task is predicated on the channel counter
-//     advancing, drains the new claims, and re-arms itself.
+//     advancing (the claim batch's own arrival releases it), drains the
+//     new claims, and re-arms itself.
 //
 // Both variants must visit exactly the vertex set a sequential BFS visits,
 // with a valid parent tree (every parent is a genuine neighbour one level

@@ -116,6 +116,37 @@ func TestRunHiPER(t *testing.T) {
 	}
 }
 
+// TestRunHiPERRootClaimPrecedesArming is the regression test for the
+// arming race: with root 1, the root's owner sends depth-1 claims to
+// other ranks at once, and a handler armed before its rank had swapped
+// the level-0 frontier in let such a claim ride into level 0 and be
+// expanded one level early ("vertex 15 depth 1, oracle 2"). Handlers now
+// fire straight from the delivery, so the window is hit within a few runs
+// if the order regresses; ValidateTree inside RunHiPER is the oracle.
+func TestRunHiPERRootClaimPrecedesArming(t *testing.T) {
+	runs := 200
+	if testing.Short() {
+		runs = 50
+	}
+	cfg := RunConfig{Graph: tinyGraph, Root: 1, Ranks: 4, Workers: 2, Cost: testCost}
+	_, want := SequentialBFS(tinyGraph, cfg.Root)
+	var reached int64
+	for _, d := range want {
+		if d >= 0 {
+			reached++
+		}
+	}
+	for i := 0; i < runs; i++ {
+		res, err := RunHiPER(cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.Visited != reached {
+			t.Fatalf("run %d: visited %d vertices, sequential BFS reaches %d", i, res.Visited, reached)
+		}
+	}
+}
+
 func TestVariantsVisitSameSet(t *testing.T) {
 	cfg := RunConfig{Graph: tinyGraph, Root: 1, Ranks: 3, Workers: 2, Cost: testCost}
 	a, err := RunReference(cfg)

@@ -168,6 +168,18 @@ func RunHiPER(cfg RunConfig) (Result, error) {
 				st.claimLocked(v, parent, depth)
 			}
 
+			// Claim the root and swap it into the level-0 frontier BEFORE
+			// arming: a handler can fire the moment it is armed (a fast root
+			// owner's depth-1 claims may already have landed), and a claim
+			// it makes must go to the NEXT frontier, not ride into level 0's
+			// and be expanded one level early.
+			n := cfg.Graph.numVertices()
+			st.level = 0
+			if owner(n, cfg.Ranks, cfg.Root) == r {
+				st.tryClaim(cfg.Root, cfg.Root, 0)
+			}
+			st.frontier, st.next = st.next, nil
+
 			// Arm one shmem_async_when handler per inbound channel: fire
 			// when the counter passes what we've consumed, drain, re-arm.
 			// Re-arming stops when the channel is sealed — its sender's
@@ -176,17 +188,21 @@ func RunHiPER(cfg RunConfig) (Result, error) {
 			// fast peer's sentinel can arrive while this rank is still
 			// looping, and a handler that re-arms past it would wait on a
 			// counter that never advances again, keeping the finish scope
-			// (and the whole job) open forever.
+			// (and the whole job) open forever. For the same reason the
+			// sealed check and the threshold are taken in ONE critical
+			// section: a concurrent drain that consumed the sentinel between
+			// the two would leave the threshold one past the final count.
 			var arm func(cc *core.Ctx, src int)
 			arm = func(cc *core.Ctx, src int) {
 				rcv.mu.Lock()
-				threshold := rcv.read[src] + 1
+				sealed, threshold := rcv.sealed[src], rcv.read[src]+1
 				rcv.mu.Unlock()
+				if sealed {
+					return
+				}
 				m.AsyncWhen(cc, cs.counters, src, shmem.CmpGE, threshold, func(hc *core.Ctx) {
 					rcv.drain(handle)
-					if !rcv.srcSealed(src) {
-						arm(hc, src)
-					}
+					arm(hc, src)
 				})
 			}
 			for src := 0; src < cfg.Ranks; src++ {
@@ -194,13 +210,6 @@ func RunHiPER(cfg RunConfig) (Result, error) {
 					arm(c, src)
 				}
 			}
-
-			n := cfg.Graph.numVertices()
-			st.level = 0
-			if owner(n, cfg.Ranks, cfg.Root) == r {
-				st.tryClaim(cfg.Root, cfg.Root, 0)
-			}
-			st.frontier, st.next = st.next, nil
 
 			for lvl := 0; lvl < levelSlots; lvl++ {
 				st.level = int64(lvl + 1)

@@ -41,15 +41,15 @@ const (
 
 // SuperviseConfig parameterizes a supervised BFS run.
 type SuperviseConfig struct {
-	Graph         GraphConfig
-	Ranks         int
-	Capacity      int // table capacity; transport is sized Capacity+1 (monitor)
-	Phases        int
-	Cost          simnet.CostModel
-	Plan          fabric.FaultPlan
-	Rel           fabric.RelConfig
-	Det           fabric.DetectorConfig
-	Kills         job.KillPlan
+	Graph    GraphConfig
+	Ranks    int
+	Capacity int // table capacity; transport is sized Capacity+1 (monitor)
+	Phases   int
+	Cost     simnet.CostModel
+	Plan     fabric.FaultPlan
+	Rel      fabric.RelConfig
+	Det      fabric.DetectorConfig
+	Kills    job.KillPlan
 	// Inject, when set, replaces Kills as the fault source (see the ISx
 	// SuperviseConfig for semantics).
 	Inject        func(tab *fabric.EpochTable, kill func(ep int)) func(phase, attempt int)

@@ -236,28 +236,22 @@ type hiperEngine struct {
 	// ghosts[li]: symmetric array of 2 parities × 2 slots × planeSize.
 	// Slot 0 holds the ghost arriving from below, slot 1 from above.
 	ghosts []*upcxx.SharedArray
-	// ctrs[li]: symmetric sequence counters — 2 parities × 2 direction
-	// slots — rput by the sender after (chained on) the data rput.
+	// sigs[li]: symmetric signal words — 2 parities × 2 direction slots.
+	// Exchange k's ghost plane travels as ONE put-with-signal whose
+	// arrival writes the plane and then stores k+1 in the word, which
+	// releases the receiver's wait: completion is delivered, nobody polls.
 	// Receiving sequence k+1 from a neighbour also proves the neighbour
 	// finished READING our exchange-k data, so parity double-buffering
-	// needs no barrier. The counters themselves are parity-split too:
-	// consecutive counter rputs are independent (unordered) transfers, so
-	// exchange k's counter could land AFTER exchange k+1's and regress the
-	// value; with parity slots the only writers sharing a slot are
-	// exchanges k and k+2, and k+2 cannot be issued until k's counter was
-	// observed — so each slot is write-ordered by construction.
-	ctrs  []*upcxx.SharedArray
+	// needs no barrier. The words are parity-split too, so the protocol
+	// does not lean on the transport's delivery order: the only writers
+	// sharing a word are exchanges k and k+2, and k+2 cannot be issued
+	// until k's signal was observed — each word is write-ordered by
+	// construction.
+	sigs  []*upcxx.SharedArray
 	seq   []int64 // per level: exchanges completed
 	bufLo map[int][]float64
 	bufHi map[int][]float64
 	grain int
-}
-
-// waitCtr waits for an inbound sequence counter to reach want, helping
-// with other runtime work meanwhile (the chained counter rputs of THIS
-// rank are tasks that may need this very worker).
-func (e *hiperEngine) waitCtr(c *core.Ctx, a *upcxx.SharedArray, slot int, want float64) {
-	c.HelpUntil(func() bool { return a.Peek(e.rank, slot) >= want })
 }
 
 func (e *hiperEngine) exchange(c *core.Ctx, li int, l *level, arr []float64) {
@@ -266,12 +260,12 @@ func (e *hiperEngine) exchange(c *core.Ctx, li int, l *level, arr []float64) {
 	}
 	ps := l.planeSize()
 	g := e.ghosts[li]
-	ctr := e.ctrs[li]
+	sig := e.sigs[li]
 	k := e.seq[li]
 	e.seq[li] = k + 1
 	par := int(k % 2)
 	base := par * 2 * ps
-	cbase := par * 2 // counter parity block: [fromBelow, fromAbove]
+	sbase := par * 2 // signal parity block: [fromBelow, fromAbove]
 	want := float64(k + 1)
 	if lo, ok := e.bufLo[li]; !ok || lo == nil {
 		e.bufLo[li] = make([]float64, ps)
@@ -281,22 +275,20 @@ func (e *hiperEngine) exchange(c *core.Ctx, li int, l *level, arr []float64) {
 	if e.rank > 0 {
 		l.copyPlaneOut(arr, 1, sendLo)
 		// My plane 1 becomes the BELOW-neighbour's from-above ghost (slot 1).
-		d := e.um.RPut(c, g, e.rank-1, base+ps, sendLo)
-		e.um.RPutAwait(c, ctr, e.rank-1, cbase+1, []float64{want}, d)
+		e.um.RPutSignal(c, g, e.rank-1, base+ps, sendLo, sig, sbase+1, want)
 	}
 	if e.rank < e.ranks-1 {
 		l.copyPlaneOut(arr, l.nz, sendHi)
 		// My plane nz becomes the ABOVE-neighbour's from-below ghost (slot 0).
-		d := e.um.RPut(c, g, e.rank+1, base, sendHi)
-		e.um.RPutAwait(c, ctr, e.rank+1, cbase, []float64{want}, d)
+		e.um.RPutSignal(c, g, e.rank+1, base, sendHi, sig, sbase, want)
 	}
 	loc := g.Local(e.rank)
 	if e.rank > 0 {
-		e.waitCtr(c, ctr, cbase, want)
+		c.Wait(e.um.SignalFuture(sig, sbase, want))
 		l.copyPlaneIn(arr, 0, loc[base:base+ps])
 	}
 	if e.rank < e.ranks-1 {
-		e.waitCtr(c, ctr, cbase+1, want)
+		c.Wait(e.um.SignalFuture(sig, sbase+1, want))
 		l.copyPlaneIn(arr, l.nz+1, loc[base+ps:base+2*ps])
 	}
 }
@@ -323,10 +315,10 @@ func RunHiPER(cfg Config) (Result, error) {
 	// the symmetric ghost arrays.
 	shapes := buildHierarchy(cfg.N, cfg.N, cfg.NZ, 1.0/float64(cfg.N+1), 0, cfg.Ranks)
 	ghosts := make([]*upcxx.SharedArray, len(shapes))
-	ctrs := make([]*upcxx.SharedArray, len(shapes))
+	sigs := make([]*upcxx.SharedArray, len(shapes))
 	for i, l := range shapes {
 		ghosts[i] = uworld.AllocShared(2 * 2 * l.planeSize())
-		ctrs[i] = uworld.AllocShared(2 * 2) // 2 parities × 2 directions
+		sigs[i] = uworld.AllocShared(2 * 2) // 2 parities × 2 directions
 	}
 
 	umods := make([]*hiperupcxx.Module, cfg.Ranks)
@@ -354,7 +346,7 @@ func RunHiPER(cfg Config) (Result, error) {
 			}
 			e := &hiperEngine{
 				um: umods[r], mm: mmods[r], rank: r, ranks: cfg.Ranks,
-				ghosts: ghosts, ctrs: ctrs, seq: make([]int64, len(ghosts)),
+				ghosts: ghosts, sigs: sigs, seq: make([]int64, len(ghosts)),
 				bufLo: map[int][]float64{}, bufHi: map[int][]float64{},
 				grain: grain,
 			}
