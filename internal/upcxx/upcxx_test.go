@@ -178,7 +178,7 @@ func TestPeekLocksConsistently(t *testing.T) {
 func (a *SharedArray) watchers(r int) int {
 	a.mus[r].Lock()
 	defer a.mus[r].Unlock()
-	return len(a.watch[r])
+	return a.watch[r].Len()
 }
 
 // TestRPutSignalPayloadBeforeSignal: several ranks RPutSignal at one
